@@ -21,12 +21,13 @@ from .classify import fixed_set
 from .errors import (
     ConjugacyFailed,
     DegenerateM,
+    InvariantViolation,
     NegativeS,
     NotReducedError,
     ParameterError,
 )
 from .geometry import TrapezoidParams
-from .rotation import Certified, rho_certify
+from .rotation import Certified, Enclosure, compare_rho, farey_neighbours, rho_certify
 from .scalar import Scalar, exact, exact_from_float, floor_int, is_exact, scalar_str, to_float
 
 
@@ -215,6 +216,39 @@ def fundamental_domain(m) -> Tuple[Scalar, Scalar]:
 # ---------------------------------------------------------------------------
 
 
+# Integer matrices (a, b, c, d) by which the generators move a rotation
+# number p/q of g, acting on the column (p, q): rho(A s) = H_A rho(s) and
+# rho(B s) = H_B rho(s).  Both are parabolic; H_B fixes 1/2.  The law is the
+# homology action of the affine self-maps, observed (not proved) to hold for
+# every m tried; every use of it is checked by exact comparisons.
+H_A = (1, 1, 0, 1)
+H_B = (3, -1, 4, -1)
+
+
+def _mat_mul(x, y):
+    return (
+        x[0] * y[0] + x[1] * y[2],
+        x[0] * y[1] + x[1] * y[3],
+        x[2] * y[0] + x[3] * y[2],
+        x[2] * y[1] + x[3] * y[3],
+    )
+
+
+def _h_power(g: str, k: int):
+    """H_g^k by repeated squaring; negative k uses the adjugate (det 1)."""
+    base = H_A if g == "A" else H_B
+    if k < 0:
+        a, b, c, d = base
+        base, k = (d, -b, -c, a), -k
+    out = (1, 0, 0, 1)
+    while k:
+        if k & 1:
+            out = _mat_mul(out, base)
+        base = _mat_mul(base, base)
+        k >>= 1
+    return out
+
+
 @dataclass(frozen=True)
 class Reduction:
     status: str  # reduced | not_reduced
@@ -224,12 +258,14 @@ class Reduction:
     s_out: object  # Scalar or INFINITY
     steps: int
     reason: str = ""
+    homology: Tuple[int, int, int, int] = (1, 0, 0, 1)  # the word's product of H_A, H_B powers
 
     def to_json(self) -> dict:
         return {
             "status": self.status,
             "word": [[g, k] for g, k in self.word],
             "matrix": self.matrix.to_json(),
+            "homology": list(self.homology),
             "s_in": scalar_str(self.s_in),
             "s_out": "infinity" if self.s_out is INFINITY else scalar_str(self.s_out),
             "steps": self.steps,
@@ -248,7 +284,9 @@ def reduce_direction(m, s, cap: int = 10**4, raise_on_failure: bool = False) -> 
     which keeps the right endpoint 1/2 fixed.  Orbits that revisit a value
     sit on a parabolic or limit-set direction and can never reach J; they
     come back not_reduced, as does hitting the cap.  Float inputs are
-    converted to the exact dyadic rationals they denote.
+    converted to the exact dyadic rationals they denote.  Alongside the
+    Mobius matrix the reduction multiplies up the integer matrix of the same
+    word in H_A and H_B (Reduction.homology), which transport_rho uses.
     """
     if not is_exact(m):
         m = exact_from_float(to_float(m))
@@ -264,13 +302,15 @@ def reduce_direction(m, s, cap: int = 10**4, raise_on_failure: bool = False) -> 
 
     cur = s
     M = _identity_like(m)
+    H = (1, 0, 0, 1)
     word: List[Tuple[str, int]] = []
     visited = set()
 
     def push(g: str, k: int, mat: Mobius):
-        nonlocal cur, M
+        nonlocal cur, M, H
         cur = mobius_apply(mat, cur)
         M = mat * M
+        H = _mat_mul(_h_power(g, k), H)
         if word and word[-1][0] == g:
             word[-1] = (g, word[-1][1] + k)
         else:
@@ -279,11 +319,12 @@ def reduce_direction(m, s, cap: int = 10**4, raise_on_failure: bool = False) -> 
     failure = "step cap exhausted"
     for steps in range(cap):
         if cur is not INFINITY and j_lo <= cur <= j_hi:
-            out = Reduction("reduced", tuple(word), M, s, cur, steps)
-            assert mobius_apply(M, s) == cur
-            return out
+            if mobius_apply(M, s) != cur:
+                raise InvariantViolation(f"word matrix does not send s={s} to {cur}")
+            return Reduction("reduced", tuple(word), M, s, cur, steps, homology=H)
         if cur in visited:
-            failure = f"revisited {scalar_str(cur)}: parabolic or limit-set direction"
+            where = "infinity" if cur is INFINITY else scalar_str(cur)
+            failure = f"revisited {where}: parabolic or limit-set direction"
             break
         visited.add(cur)
         if cur is INFINITY:
@@ -306,22 +347,93 @@ def reduce_direction(m, s, cap: int = 10**4, raise_on_failure: bool = False) -> 
     else:
         steps = cap
 
-    result = Reduction("not_reduced", tuple(word), M, s, cur, steps, failure)
+    result = Reduction("not_reduced", tuple(word), M, s, cur, steps, failure, H)
     if raise_on_failure:
         raise NotReducedError(f"reduction failed for s={s}: {failure}")
     return result
+
+
+def _integer_rho(m, s) -> Optional[int]:
+    """The integer k inside the displacement range [s+1-m, s+m] of g, if any."""
+    k = floor_int(s + m)
+    return k if k >= s + 1 - m else None
+
+
+def _pull_back(H, p: int, q: int) -> Optional[Tuple[int, int]]:
+    """(p, q) moved by H^-1, in lowest terms with q > 0; None at q = 0."""
+    a, b, c, d = H
+    p, q = d * p - b * q, a * q - c * p  # adjugate: H^-1 up to the scalar det H
+    if q == 0:
+        return None
+    g = math.gcd(p, q) if q > 0 else -math.gcd(p, q)
+    return p // g, q // g
+
+
+# Step cap of the reduction behind a transport.  Reductions at m = 5/8, 2/3
+# and 3/4 take at most 45 steps on 600 directions with 40-bit denominators;
+# near m = 1/2 they run to thousands of steps on ever larger rationals and
+# can cost far more than the descent they would replace.
+TRANSPORT_CAP = 64
+
+
+def transport_rho(m, s) -> Optional[Tuple[int, int]]:
+    """rho of g in direction s predicted from its reduction into J, or None.
+
+    The reduced direction has an integer rotation number k; pulling (k, 1)
+    back through the inverse of the word's homology matrix gives p/q.  The
+    law is empirical, so the prediction is unchecked: None at m = 1/2, where
+    g is a translation and J is empty, when the reduction fails within
+    TRANSPORT_CAP steps, or when it lands without an integer rotation number.
+    """
+    if 2 * m == 1:
+        return None
+    red = reduce_direction(m, s, cap=TRANSPORT_CAP)
+    if red.status != "reduced":
+        return None
+    k = _integer_rho(m, red.s_out)
+    return None if k is None else _pull_back(red.homology, k, 1)
+
+
+def _transported_certificate(L: PLLift, m, s, q_max: int):
+    """rho_certify(L, q_max) decided from the transported p/q, or None.
+
+    q <= q_max: one compare_rho at p/q that returns Equal certifies rho = p/q
+    with that comparison's witness.  q > q_max: the F_{q_max} neighbours of
+    p/q, compared Greater and Less, give the enclosure.  Both are exactly
+    what the descent returns, since a certified p/q with q <= q_max and the
+    Farey pair around rho at level q_max are unique; any other outcome gives
+    None, and the caller runs the descent.
+    """
+    pred = transport_rho(m, s)
+    if pred is None:
+        return None
+    p, q = pred
+    if q <= q_max:
+        c = compare_rho(L, p, q)
+        return Certified(p, q, c.witness, c.numeric) if c.rel == 0 else None
+    lo, hi = farey_neighbours(p, q, q_max)
+    if (compare_rho(L, lo.numerator, lo.denominator).rel > 0
+            and compare_rho(L, hi.numerator, hi.denominator).rel < 0):
+        return Enclosure(lo, hi, q_max)
+    return None
 
 
 def closed_leaf_exists(m, s, q_max: int = 2000) -> dict:
     """Certificate for a closed leaf in direction s: a periodic point of g.
 
     When some integer k sits inside the displacement range [s+1-m, s+m] the
-    fixed points of g - k are exact; otherwise fall back on rotation-number
-    certification up to q_max, which may come back unresolved.
+    fixed points of g - k are exact.  Otherwise, for exact input, the
+    rotation number is first transported along the Veech-group word of the
+    reduction (transport_rho) and checked with one exact comparison (two
+    for an enclosure); if the reduction fails or a check does not hold, or
+    the input is float, rotation-number certification descends the
+    Stern-Brocot tree up to q_max and may come back unresolved.  Either
+    route returns the same result; "decided_by" says which one did
+    ("fixed-point", "transport" or "descent").
     """
     L = g_lift(m, s)
-    k = floor_int(s + m)
-    if k >= s + 1 - m:
+    k = _integer_rho(m, s)
+    if k is not None:
         atoms = fixed_set(L, k, 1)
         return {
             "periodic": True,
@@ -329,14 +441,20 @@ def closed_leaf_exists(m, s, q_max: int = 2000) -> dict:
             "q": 1,
             "method": "fixed-point",
             "atoms": [a.to_json() for a in atoms],
+            "decided_by": "fixed-point",
         }
-    r = rho_certify(L, q_max)
+    r = _transported_certificate(L, m, s, q_max) if is_exact(m) and is_exact(s) else None
+    decided_by = "transport"
+    if r is None:
+        r = rho_certify(L, q_max)
+        decided_by = "descent"
     if isinstance(r, Certified):
         return {
             "periodic": True,
             "p": r.p,
             "q": r.q,
             "method": "numeric" if r.numeric else "certified",
+            "decided_by": decided_by,
         }
     return {
         "periodic": None,
@@ -344,6 +462,7 @@ def closed_leaf_exists(m, s, q_max: int = 2000) -> dict:
         "lo": scalar_str(r.lo),
         "hi": scalar_str(r.hi),
         "q_max": q_max,
+        "decided_by": decided_by,
     }
 
 
@@ -371,23 +490,35 @@ def _experiment_sample(args):
         return out
 
     leaf_reduced = closed_leaf_exists(m, red.s_out, q_max)
-    periodic_original: Optional[bool] = True if certified else None
-    if periodic_original is None:
-        for factor in escalations:
-            r2 = rho_certify(L, q_max * factor)
-            if isinstance(r2, Certified):
-                periodic_original = True
-                break
     if leaf_reduced["periodic"] is None:
-        agreement = "unresolved"
-    elif periodic_original is None:
-        agreement = "unresolved"
-    elif bool(leaf_reduced["periodic"]) == periodic_original:
-        agreement = "agree"
-    else:
-        agreement = "disagree"
-    out["agreement"] = agreement
+        out["agreement"] = "unresolved"
+        return out
+    pred = _pull_back(red.homology, leaf_reduced["p"], leaf_reduced["q"])
+    out["transported"] = list(pred) if pred else None
+    for factor in escalations:
+        if isinstance(r, Certified):
+            break
+        r = rho_certify(L, q_max * factor)
+    out["agreement"] = _agreement(r, pred)
     return out
+
+
+def _agreement(direct, pred) -> str:
+    """Compare the transported p/q with the direct descent's result.
+
+    A certificate agrees only with the same p/q.  An enclosure at level Q
+    rules out every p/q with q <= Q and everything outside it, so a
+    prediction there is a disagreement; one with q > Q strictly inside is
+    consistent but unconfirmed.
+    """
+    if pred is None:
+        return "disagree"
+    p, q = pred
+    if isinstance(direct, Certified):
+        return "agree" if (direct.p, direct.q) == (p, q) else "disagree"
+    if q > direct.q_max and direct.lo < exact(p, q) < direct.hi:
+        return "unresolved"
+    return "disagree"
 
 
 def ae_rationality_experiment(
@@ -406,9 +537,11 @@ def ae_rationality_experiment(
     from the range.  Dyadic grids do brush the cusp orbits when beta is
     itself dyadic (m = 2/3 puts a few percent of them on the orbit of 0);
     those samples come back not_reduced and are counted, not hidden.  Each
-    sample is certified directly and, when the reduction lands in J, the
-    closed-leaf certificate of the reduced direction must agree with the
-    direct one, escalating q_max before declaring a sample unresolved.
+    sample is certified directly by the Stern-Brocot descent and, when the
+    reduction lands in J, the closed-leaf certificate of the reduced
+    direction, pulled back along the word's homology matrix, must give the
+    same p/q, escalating q_max before declaring a sample unresolved; a
+    transported p/q that the direct result rules out is a disagreement.
     The report is a pure function of (m, n_samples, q_max, seed, s_range,
     cap).
     """

@@ -74,6 +74,10 @@ class NonTransversal(NumericError):
     """tan_theta does not exceed the steepest boundary slope."""
 
 
+class InvariantViolation(NumericError):
+    """An exact identity the algorithm guarantees failed; signals a bug."""
+
+
 class ConjugacyFailed(NumericError):
     """The exact conjugacy identity failed; signals a bug, not bad data."""
 

@@ -18,7 +18,13 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .circle_map import PLLift, displacement_range, lift_iter, power_break_data
-from .errors import MonotoneViolation, NonPositive, ParameterError, WavetrapError
+from .errors import (
+    InvariantViolation,
+    MonotoneViolation,
+    NonPositive,
+    ParameterError,
+    WavetrapError,
+)
 from .scalar import Scalar, exact, floor_int, is_exact
 
 FLOAT_TOL = 1e-12
@@ -140,8 +146,8 @@ def compare_rho(L: PLLift, p: int, q: int, tol: Optional[float] = None) -> Compa
             xi = xs[i]
             xj = xs[j] if j > i else xs[j] + 1
             root = xi + ds[i] * (xj - xi) / (ds[i] - ds[j])
-            if L.exact_mode:
-                assert lift_iter(L, root, q) - root - p == 0
+            if L.exact_mode and lift_iter(L, root, q) - root - p != 0:
+                raise InvariantViolation(f"root {root} of the displacement is not {p}/{q}-periodic")
             return Comparison(0, witness=("point", root), numeric=numeric)
     raise WavetrapError("sign analysis fell through; broken lift data")
 
@@ -169,13 +175,42 @@ def rho_certify(L: PLLift, q_max: int = 2000, tol: Optional[float] = None) -> Ro
     """
     if q_max < 1:
         raise NonPositive("q_max must be >= 1")
-
     dmin, dmax = displacement_range(L)
-    n0 = floor_int(dmin)
-    n1 = floor_int(dmax) + 1
+    return farey_descent(
+        lambda p, q: compare_rho(L, p, q, tol), floor_int(dmin), floor_int(dmax) + 1, q_max
+    )
+
+
+def farey_neighbours(p: int, q: int, q_max: int) -> Tuple[Scalar, Scalar]:
+    """The consecutive fractions of F_{q_max} around p/q, for q > q_max.
+
+    Runs the descent of rho_certify against the exact integer comparator of
+    the known value p/q, so no lift is evaluated.  p/q must be in lowest
+    terms with q > q_max; then no comparison is Equal and the descent ends
+    on the unique Farey pair at level q_max that brackets p/q strictly.
+    """
+    if q <= q_max or math.gcd(p, q) != 1:
+        raise ParameterError(f"need p/q in lowest terms with q > q_max; got {p}/{q}, q_max={q_max}")
+
+    def cmp(a: int, b: int) -> Comparison:
+        d = p * b - a * q
+        return Comparison((d > 0) - (d < 0))
+
+    n = p // q
+    r = farey_descent(cmp, n, n + 1, q_max)
+    return r.lo, r.hi
+
+
+def farey_descent(cmp, n0: int, n1: int, q_max: int) -> RotationResult:
+    """Stern-Brocot descent for the unknown x that cmp(p, q) compares with p/q.
+
+    cmp returns a Comparison for the sign of x - p/q.  Integers n0..n1 are
+    probed first; they must contain a bracket of x (a Less among them once a
+    Greater was seen), otherwise InvariantViolation is raised.
+    """
     lo = hi = None
     for n in range(n0, n1 + 1):
-        c = compare_rho(L, n, 1, tol)
+        c = cmp(n, 1)
         if c.rel == 0:
             return Certified(n, 1, c.witness, c.numeric)
         if c.rel > 0:
@@ -183,23 +218,21 @@ def rho_certify(L: PLLift, q_max: int = 2000, tol: Optional[float] = None) -> Ro
         elif hi is None:
             hi = _PQ(n, 1)
             break
-    assert lo is not None and hi is not None, "integer bracket failed"
-
-    def cmp(pq: _PQ) -> Comparison:
-        return compare_rho(L, pq.p, pq.q, tol)
+    if lo is None or hi is None:
+        raise InvariantViolation(f"integer bracket failed on [{n0}, {n1}]")
 
     while True:
         med = lo + hi
         if med.q > q_max:
             break
-        c = cmp(med)
+        c = cmp(med.p, med.q)
         if c.rel == 0:
             g = math.gcd(med.p, med.q)
             return Certified(med.p // g, med.q // g, c.witness, c.numeric)
         if c.rel > 0:
-            lo, hi, hit = _run(L, lo, hi, 1, q_max, tol)
+            lo, hi, hit = _run(cmp, lo, hi, 1, q_max)
         else:
-            lo, hi, hit = _run(L, hi, lo, -1, q_max, tol)
+            lo, hi, hit = _run(cmp, hi, lo, -1, q_max)
             lo, hi = hi, lo
         if hit is not None:
             return hit
@@ -207,7 +240,7 @@ def rho_certify(L: PLLift, q_max: int = 2000, tol: Optional[float] = None) -> Ro
     return Enclosure(exact(lo.p, lo.q), exact(hi.p, hi.q), q_max)
 
 
-def _run(L: PLLift, moving: _PQ, fixed: _PQ, direction: int, q_max: int, tol):
+def _run(cmp, moving: _PQ, fixed: _PQ, direction: int, q_max: int):
     """Batch successive mediant moves toward `fixed`.
 
     Finds the largest k with compare(moving + k*fixed) == direction under the
@@ -216,8 +249,7 @@ def _run(L: PLLift, moving: _PQ, fixed: _PQ, direction: int, q_max: int, tol):
     """
 
     def probe(k: int) -> Comparison:
-        t = _PQ(moving.p + k * fixed.p, moving.q + k * fixed.q)
-        return compare_rho(L, t.p, t.q, tol)
+        return cmp(moving.p + k * fixed.p, moving.q + k * fixed.q)
 
     kcap = (q_max - moving.q) // fixed.q
     # k = 1 is the mediant the caller already compared

@@ -99,7 +99,9 @@ def _first_hit_pl(table: GeneralTable, x, tan_theta):
     seg = 0
     while seg < nseg - 1 and x > xs[seg + 1] + shift:
         seg += 1
-    guard = 0
+    # by this abscissa the ray is as high as the profile's top vertex, so the
+    # first hit lies at or before it
+    t_max = x + max(p.ys) / tan_theta
     while True:
         left = xs[seg] + shift
         right = xs[seg + 1] + shift
@@ -113,9 +115,8 @@ def _first_hit_pl(table: GeneralTable, x, tan_theta):
         lo = x if x > left else left
         if lo <= t <= right:
             return t
-        guard += 1
-        if guard > nseg + 3:
-            raise WavetrapError("walked a full period without hitting the boundary")
+        if right >= t_max:
+            raise WavetrapError(f"no boundary hit below the table top, by x = {t_max}")
         seg += 1
         if seg == nseg:
             seg = 0

@@ -113,6 +113,37 @@ def test_trace_json_and_svg(tmp_path):
     assert svg_path.read_text().lstrip().startswith("<svg")
 
 
+def test_trace_tall_table_matches_lift():
+    from wavetrap.circle_map import lift_eval, trapezoid_lift
+    from wavetrap.geometry import trapezoid_params
+    from wavetrap.scalar import exact, to_float
+
+    proc = run_cli("trace", "--ell", "6", "--tan-alpha", "1", "--tan-theta", "2",
+                   "--x0", "0", "--returns", "1", "--exact")
+    obj = out_json(proc)
+    y = lift_eval(trapezoid_lift(trapezoid_params(exact(6), exact(1), exact(2), require_extra=False)), exact(0))
+    folded = y - int((y + exact(1, 2)) // 1)
+    assert obj["result"]["returns"] == [0.0, to_float(folded)]
+
+
+def test_dilation_reduce_revisiting_infinity_is_data_not_error():
+    proc = run_cli("dilation", "reduce", "--m", "5/8", "--s", "5325585/1048576")
+    obj = out_json(proc)
+    assert obj["result"]["status"] == "not_reduced"
+    assert obj["result"]["s_out"] == "infinity"
+    assert "infinity" in obj["result"]["reason"]
+
+
+def test_dilation_experiment_through_an_infinity_revisit():
+    # the 23rd draw of seed 1 at m = 5/8 revisits INFINITY during reduction
+    proc = run_cli("dilation", "experiment", "--m", "5/8", "--n", "30",
+                   "--qmax", "50", "--seed", "1")
+    obj = out_json(proc)
+    assert obj["result"]["n_samples"] == 30
+    assert obj["result"]["not_reduced"] >= 1
+    assert obj["result"]["agreement"]["disagree"] == 0
+
+
 def test_dilation_reduce_cusp_is_data_not_error():
     proc = run_cli("dilation", "reduce", "--m", "5/8", "--s=-1/8")
     obj = out_json(proc)

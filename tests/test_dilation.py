@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavetrap import dilation
 from wavetrap.circle_map import lift_eval
 from wavetrap.dilation import (
     INFINITY,
@@ -17,12 +18,20 @@ from wavetrap.dilation import (
     mobius_apply,
     reduce_direction,
     surface_params,
+    transport_rho,
     veech_generators,
 )
-from wavetrap.errors import DegenerateM, NegativeS, NotReducedError, ParameterError
+from wavetrap.errors import (
+    DegenerateM,
+    InvariantViolation,
+    NegativeS,
+    NotReducedError,
+    NumericError,
+    ParameterError,
+)
 from wavetrap.geometry import trapezoid_params
-from wavetrap.rotation import rho_certify, rho_value
-from wavetrap.scalar import exact, to_float
+from wavetrap.rotation import Certified, rho_certify, rho_value
+from wavetrap.scalar import exact, scalar_str, to_float
 
 
 def reference_params():
@@ -220,3 +229,116 @@ def test_experiment_parallel_matches_serial():
     serial = ae_rationality_experiment(exact(5, 8), workers=1, **kw)
     parallel = ae_rationality_experiment(exact(5, 8), workers=2, **kw)
     assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
+
+
+def test_reduce_revisiting_infinity_is_not_reduced():
+    red = reduce_direction(exact(5, 8), exact(5325585, 1048576))
+    assert red.status == "not_reduced"
+    assert red.s_out is INFINITY
+    assert "infinity" in red.reason
+    assert red.to_json()["s_out"] == "infinity"
+
+
+def test_reduce_invariant_is_a_typed_error(monkeypatch):
+    # a product that drops the new factor breaks M(s_in) = s_out
+    monkeypatch.setattr(Mobius, "__mul__", lambda self, other: other)
+    with pytest.raises(InvariantViolation) as err:
+        reduce_direction(exact(5, 8), exact(13, 64))
+    assert isinstance(err.value, NumericError)
+
+
+def test_reduction_homology_is_the_word_product():
+    red = reduce_direction(exact(5, 8), exact(13, 64))
+    H = (1, 0, 0, 1)
+    for g, k in red.word:
+        base = (1, k, 0, 1) if g == "A" else (1 + 2 * k, -k, 4 * k, 1 - 2 * k)  # H_B^k
+        H = (base[0] * H[0] + base[1] * H[2], base[0] * H[1] + base[1] * H[3],
+             base[2] * H[0] + base[3] * H[2], base[2] * H[1] + base[3] * H[3])
+    assert red.homology == H
+    assert red.to_json()["homology"] == list(H)
+    assert H[0] * H[3] - H[1] * H[2] == 1
+
+
+def _descent_view(m, s, q_max):
+    r = rho_certify(g_lift(m, s), q_max)
+    if isinstance(r, Certified):
+        return (True, r.p, r.q)
+    return (None, scalar_str(r.lo), scalar_str(r.hi))
+
+
+def _leaf_view(report):
+    if report["periodic"]:
+        return (True, report["p"], report["q"])
+    return (None, report["lo"], report["hi"])
+
+
+# H_B with its off-diagonal entries swapped: still det 1, wrong on every B-word
+CORRUPT_H_B = (3, 4, -1, -1)
+
+moduli = st.sampled_from([exact(5, 8), exact(2, 3), exact(3, 4)]) | st.builds(
+    lambda k: exact(k, 2**10), st.integers(2**9 + 1, 2**10 - 1))
+
+
+@st.composite
+def directions(draw):
+    den = draw(st.integers(2, 2**24))
+    return exact(draw(st.integers(0, 10 * den)), den)
+
+
+
+@settings(max_examples=120, deadline=None)
+@given(moduli, directions(), st.sampled_from([50, 200, 800]), st.booleans())
+def test_transport_matches_the_descent(m, s, q_max, corrupt):
+    with pytest.MonkeyPatch.context() as mp:
+        if corrupt:
+            mp.setattr(dilation, "H_B", CORRUPT_H_B)
+        report = closed_leaf_exists(m, s, q_max)
+    assert _leaf_view(report) == _descent_view(m, s, q_max)
+    if report["decided_by"] == "transport":
+        assert report["method"] in ("certified", "enclosure")
+
+
+def test_transport_decides_the_experiment_directions():
+    import random
+
+    rng = random.Random(1)
+    draws = [exact(2 * rng.randrange(0, 10 * 2**19) + 1, 2**20) for _ in range(8)]
+    routes = []
+    for m in (exact(5, 8), exact(2, 3), exact(3, 4)):
+        for s in draws:
+            for q_max in (50, 200):
+                report = closed_leaf_exists(m, s, q_max)
+                assert _leaf_view(report) == _descent_view(m, s, q_max)
+                routes.append(report["decided_by"])
+    assert routes.count("transport") >= routes.count("descent")
+
+
+@pytest.mark.parametrize("s, q_max", [
+    (exact(683, 1024), 200),  # certified at q <= q_max by transport
+    (exact(5, 3), 50),  # enclosure from the Farey pair around the prediction
+])
+def test_wrong_transport_falls_back_to_the_descent(monkeypatch, s, q_max):
+    m = exact(5, 8)
+    right = closed_leaf_exists(m, s, q_max)
+    assert right["decided_by"] == "transport"
+    prediction = transport_rho(m, s)
+    monkeypatch.setattr(dilation, "H_B", CORRUPT_H_B)
+    assert transport_rho(m, s) != prediction
+    wrong = closed_leaf_exists(m, s, q_max)
+    assert wrong["decided_by"] == "descent"
+    assert _leaf_view(wrong) == _leaf_view(right) == _descent_view(m, s, q_max)
+
+
+def test_closed_leaf_skips_transport_on_float_input():
+    report = closed_leaf_exists(0.625, 7 / 3, q_max=200)
+    assert report["decided_by"] == "descent"
+
+
+def test_experiment_counts_disagreement_under_a_corrupt_law(monkeypatch):
+    kw = dict(n_samples=12, q_max=200, seed=7, s_range=(exact(0), exact(4)))
+    honest = ae_rationality_experiment(exact(5, 8), **kw)
+    assert honest["agreement"]["disagree"] == 0
+    assert honest["agreement"]["agree"] > 0
+    monkeypatch.setattr(dilation, "H_B", CORRUPT_H_B)
+    corrupt = ae_rationality_experiment(exact(5, 8), **kw)
+    assert corrupt["agreement"]["disagree"] > 0

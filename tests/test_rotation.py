@@ -1,9 +1,14 @@
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavetrap.circle_map import power_lift, translation_lift, trapezoid_lift
-from wavetrap.errors import MonotoneViolation
+from wavetrap import rotation
+from wavetrap.dilation import g_lift
+from wavetrap.errors import InvariantViolation, MonotoneViolation, NumericError, ParameterError
 from wavetrap.families import family_from_name
 from wavetrap.geometry import maas_params, trapezoid_params
 from wavetrap.rotation import (
@@ -11,6 +16,7 @@ from wavetrap.rotation import (
     Enclosure,
     assert_monotone,
     compare_rho,
+    farey_neighbours,
     rho_certify,
     rho_estimate,
     rho_value,
@@ -107,3 +113,33 @@ def test_monotone_violation_detected():
     shuffled = list(reversed(recs))
     with pytest.raises(MonotoneViolation):
         assert_monotone(shuffled, increasing=fam.increasing)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-60, 60), st.integers(2, 60), st.integers(1, 40))
+def test_farey_neighbours_match_brute_force(p, q, q_max):
+    if q <= q_max or math.gcd(p, q) != 1:
+        with pytest.raises(ParameterError):
+            farey_neighbours(p, q, q_max)
+        return
+    x = Fraction(p, q)
+    below = max(Fraction(math.ceil(x * b) - 1, b) for b in range(1, q_max + 1))
+    above = min(Fraction(math.floor(x * b) + 1, b) for b in range(1, q_max + 1))
+    assert farey_neighbours(p, q, q_max) == (below, above)
+
+
+def test_compare_rho_root_check_is_a_typed_error(monkeypatch):
+    # rho = 103/91 here, witnessed by a sign change inside a piece
+    L = g_lift(exact(5, 8), exact(683, 1024))
+    assert compare_rho(L, 103, 91).rel == 0
+    monkeypatch.setattr(rotation, "lift_iter", lambda L, x, n: x + 1)
+    with pytest.raises(InvariantViolation) as err:
+        compare_rho(L, 103, 91)
+    assert isinstance(err.value, NumericError)
+
+
+def test_integer_bracket_failure_is_a_typed_error(monkeypatch):
+    L = g_lift(exact(5, 8), exact(683, 1024))
+    monkeypatch.setattr(rotation, "displacement_range", lambda L: (exact(7), exact(8)))
+    with pytest.raises(InvariantViolation):
+        rho_certify(L, 50)

@@ -36,6 +36,15 @@ def test_first_return_matches_lift_exactly():
         assert first_return_lift(table, x, p.tan_theta) == lift_eval(L, x)
 
 
+def test_first_return_on_a_tall_table():
+    # the beam climbs about three periods before its first hit
+    p = trapezoid_params(exact(6), exact(1), exact(2), require_extra=False)
+    table = unfold_trapezoid(p)
+    L = trapezoid_lift(p)
+    for x in (exact(0), exact(1, 3), exact(-5, 11)):
+        assert first_return_lift(table, x, p.tan_theta) == lift_eval(L, x)
+
+
 def test_first_return_folds_into_the_section():
     p, table = reference()
     y = first_return(table, exact(0), p.tan_theta)
