@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import BreakPoint, NonPositive, WavetrapError
+from .errors import BreakPoint, InvariantViolation, NonPositive, WavetrapError
 from .geometry import TrapezoidParams
 from .scalar import Scalar, exact, floor_int, guard_bits, is_exact, scalar_str, to_float
 
@@ -46,10 +46,6 @@ class PLLift:
         # u must already sit in [breaks[0], breaks[0] + 1)
         return bisect_right(self.breaks, u) - 1
 
-    def real_breaks(self) -> Tuple[int, ...]:
-        """Indices where the slope actually jumps."""
-        n = len(self.breaks)
-        return tuple(i for i in range(n) if self.slopes[i] != self.slopes[i - 1])
 
 
 def make_lift(breaks: Sequence, slopes: Sequence, anchor: Tuple) -> PLLift:
@@ -263,9 +259,13 @@ def power_break_data(L: PLLift, q: int, p=0, want_slopes: bool = True) -> PowerP
         # closing consistency: crossing the first break again returns to out[0]
         closed = out[-1] * jump_at[positions[0]]
         if L.exact_mode:
-            assert closed == out[0]
+            closes = closed == out[0]
         else:
-            assert abs(closed - out[0]) <= 1e-9 * abs(out[0]) + tol
+            closes = abs(closed - out[0]) <= 1e-9 * abs(out[0]) + tol
+        if not closes:
+            raise InvariantViolation(
+                f"slopes of F^{q} do not close up over a period: {closed} against {out[0]}"
+            )
         slopes = tuple(out)
 
     return PowerPieces(q, p, tuple(positions), disp, slopes)
@@ -283,12 +283,6 @@ def _chain_slope(L: PLLift, x, q: int):
     return s
 
 
-def power_breakpoints(L: PLLift, q: int) -> Tuple[Tuple[Scalar, ...], Tuple[Scalar, ...]]:
-    """Sorted breaks of F^q in one period and the slope of each piece."""
-    data = power_break_data(L, q, 0, want_slopes=True)
-    return data.breaks, data.slopes
-
-
 def power_lift(L: PLLift, q: int) -> PLLift:
     """Materialize F^q as a lift; meant for small q (tests, reports)."""
     data = power_break_data(L, q, 0, want_slopes=True)
@@ -296,43 +290,10 @@ def power_lift(L: PLLift, q: int) -> PLLift:
     return make_lift(data.breaks, data.slopes, (x0, data.disp[0] + x0))
 
 
-def log_slope_variation(L: PLLift) -> float:
-    """Total variation of log F' over one period (sum of |log jumps|)."""
-    import math
-
-    tot = 0.0
-    for i in range(len(L.breaks)):
-        a, b = to_float(L.slopes[i - 1]), to_float(L.slopes[i])
-        tot += abs(math.log(b) - math.log(a))
-    return tot
-
-
 def circle_point(L: PLLift, x):
     """Representative of x in the fundamental window."""
     u, _ = _normalize(L, x)
     return u
-
-
-def symmetry_check(L: PLLift, points: Sequence) -> Scalar:
-    """Max residual of f(-f(x)) + x over the sample, measured on the circle.
-
-    Zero for return maps of tables with the half-turn symmetry.
-    """
-    worst = 0 * L.values[0]
-    for x in points:
-        y = lift_eval(L, x)
-        z = lift_eval(L, -y)
-        r = _circle_dist(z + x)
-        if r > worst:
-            worst = r
-    return worst
-
-
-def _circle_dist(t):
-    """Distance from t to the nearest integer."""
-    k = floor_int(t)
-    frac = t - k
-    return min(frac, 1 - frac)
 
 
 def lift_to_json(L: PLLift) -> str:

@@ -89,18 +89,17 @@ def _point_stability(left_tag: str, right_tag: str) -> str:
     return "semistable"
 
 
-def fixed_set(L: PLLift, p: int, q: int, tol: Optional[float] = None) -> List[FixedAtom]:
+def fixed_set(L: PLLift, p: int, q: int) -> List[FixedAtom]:
     """Connected components of {F^q = id + p}, each tagged with stability.
 
     Raises NotRotationNumber unless compare_rho(L, p, q) says Equal.  In
-    float mode a displacement within tol of zero counts as zero and slopes
-    within SLOPE_TOL of one count as neutral.
+    float mode a displacement within FLOAT_TOL of zero counts as zero and
+    slopes within SLOPE_TOL of one count as neutral.
     """
-    cmp = compare_rho(L, p, q, tol=tol)
+    cmp = compare_rho(L, p, q)
     if cmp.rel != 0:
         raise NotRotationNumber(f"rho differs from {p}/{q} (sign {cmp.rel})")
-    if tol is None:
-        tol = 0 if L.exact_mode else FLOAT_TOL
+    tol = 0 if L.exact_mode else FLOAT_TOL
 
     data = power_break_data(L, q, p, want_slopes=True)
     xs, ds, sl = data.breaks, data.disp, data.slopes
@@ -197,19 +196,7 @@ class DynamicsClassification:
     parity_report: Optional[dict] = None
 
     def to_json(self) -> dict:
-        out = {"case": self.case, "q_max": self.q_max}
-        if isinstance(self.rho, Certified):
-            out["rho"] = {
-                "kind": "numeric" if self.rho.numeric else "certified",
-                "p": self.rho.p,
-                "q": self.rho.q,
-            }
-        else:
-            out["rho"] = {
-                "kind": "enclosure",
-                "lo": scalar_str(self.rho.lo),
-                "hi": scalar_str(self.rho.hi),
-            }
+        out = {"case": self.case, "q_max": self.q_max, "rho": self.rho.to_json()}
         if self.atoms is not None:
             out["fixed_atoms"] = [a.to_json() for a in self.atoms]
         if self.orbit_plus:
@@ -220,17 +207,17 @@ class DynamicsClassification:
         return out
 
 
-def classify(L: PLLift, q_max: int = 2000, tol: Optional[float] = None) -> DynamicsClassification:
+def classify(L: PLLift, q_max: int = 2000) -> DynamicsClassification:
     """Certify rho, then map the fixed locus of F^q onto the dynamics cases.
 
     Without a certificate at denominator <= q_max the orbit structure is
     reported as minimal_uncertified: no periodic orbit with small period
     exists, which is evidence of minimality but never a proof.
     """
-    rho = rho_certify(L, q_max, tol=tol)
+    rho = rho_certify(L, q_max)
     if isinstance(rho, Enclosure):
         return DynamicsClassification("minimal_uncertified", rho, q_max)
-    atoms = fixed_set(L, rho.p, rho.q, tol=tol)
+    atoms = fixed_set(L, rho.p, rho.q)
     if len(atoms) == 1 and atoms[0].kind == "circle":
         return DynamicsClassification("all_periodic", rho, q_max, tuple(atoms))
     if any(a.kind == "interval" for a in atoms):
@@ -247,10 +234,9 @@ def classify(L: PLLift, q_max: int = 2000, tol: Optional[float] = None) -> Dynam
     return DynamicsClassification("attractor_repellor", rho, q_max, tuple(atoms), plus, minus)
 
 
-def co_orbital(L: PLLift, x, y, q: int, tol: Optional[float] = None) -> bool:
+def co_orbital(L: PLLift, x, y, q: int) -> bool:
     """Whether y lies on the length-q circle orbit of x."""
-    if tol is None:
-        tol = 0 if L.exact_mode else FLOAT_TOL
+    tol = 0 if L.exact_mode else FLOAT_TOL
     ty = circle_point(L, y)
     pos = x
     for _ in range(q):
@@ -283,7 +269,7 @@ def parity_check(params: TrapezoidParams, L: Optional[PLLift] = None, q_max: int
     identity = all(-tol <= d <= tol for d in data.disp) and all(
         (s == 1 if is_exact(s) else abs(to_float(s) - 1.0) <= SLOPE_TOL) for s in data.slopes
     )
-    co = co_orbital(L, params.a0, params.a1, q, tol=tol)
+    co = co_orbital(L, params.a0, params.a1, q)
     gaps = [abs(to_float(s) - 1.0) for s in data.slopes]
 
     if q % 2 == 0:

@@ -4,7 +4,9 @@ Scalars accept "p/q" (exact), integers (exact), and decimals (float unless
 --exact-decimal turns them into exact base-10 rationals).  Every value flag
 can come from a --config JSON file instead; explicit flags win.  Exit codes:
 0 on success (a not_reduced direction is data, not a failure), 2 on
-parameter or usage errors, 3 on numeric failures.
+parameter or usage errors, 3 on numeric failures, and 1 when stdout is
+closed before the result is written (e.g. piped into `head`); that case
+prints nothing to stderr.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .reports import write_json, write_scan_csv, write_staircase_csv
 from .rotation import Certified, rho_certify, staircase
 from .scalar import exact, is_exact, parse_scalar, scalar_str, to_float
 from .tongues import closed_form_oracle, render_phase_diagram, scan, tongue_interval
-from .tracer import trace_segments, trace_svg
+from .tracer import _render_trace, trace_segments
 
 
 def _env_workers() -> int:
@@ -144,32 +146,6 @@ def _params_json(p) -> dict:
     return out
 
 
-def _witness_json(w):
-    if w is None:
-        return None
-    if isinstance(w, tuple):
-        return [w[0], *(scalar_str(v) for v in w[1:])]
-    return scalar_str(w)
-
-
-def _rho_json(r, q_max: int) -> dict:
-    if isinstance(r, Certified):
-        return {
-            "kind": "numeric" if r.numeric else "certified",
-            "p": r.p,
-            "q": r.q,
-            "rho": scalar_str(r.value),
-            "witness": _witness_json(r.witness),
-        }
-    return {
-        "kind": "enclosure",
-        "lo": scalar_str(r.lo),
-        "hi": scalar_str(r.hi),
-        "width": to_float(r.hi - r.lo),
-        "q_max": q_max,
-    }
-
-
 def _emit(args: argparse.Namespace, obj: dict, config: dict) -> int:
     text = write_json(obj, getattr(args, "out", None), config)
     print(text)
@@ -207,7 +183,7 @@ def _cmd_rho(args) -> int:
     p = _trapezoid(args)
     q_max = _opt(args, "qmax", 2000)
     r = rho_certify(trapezoid_lift(p), q_max)
-    obj = {"params": _params_json(p), "rho": _rho_json(r, q_max)}
+    obj = {"params": _params_json(p), "rho": r.to_json()}
     config = {"command": "rho", "qmax": q_max, **_params_json(p)}
     return _emit(args, obj, config)
 
@@ -383,7 +359,7 @@ def _cmd_trace(args) -> int:
     segs, log = trace_segments(table, x0, tan_theta, n_returns)
     if getattr(args, "svg", None):
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(trace_svg(table, x0, tan_theta, n_returns))
+            fh.write(_render_trace(table, segs, log))
     obj = {
         "returns": list(log.returns),
         "hits": list(log.hits),
@@ -600,7 +576,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _merge_config(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; send what is still buffered to devnull so that
+        # the interpreter's own flush at exit has nothing to complain about
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,7 +27,7 @@ from .errors import (
     ParameterError,
 )
 from .geometry import TrapezoidParams
-from .rotation import Certified, Enclosure, compare_rho, farey_neighbours, rho_certify
+from .rotation import Certified, Enclosure, compare_rho, farey_neighbours, parallel_map, rho_certify
 from .scalar import Scalar, exact, exact_from_float, floor_int, is_exact, scalar_str, to_float
 
 
@@ -453,7 +453,7 @@ def closed_leaf_exists(m, s, q_max: int = 2000) -> dict:
             "periodic": True,
             "p": r.p,
             "q": r.q,
-            "method": "numeric" if r.numeric else "certified",
+            "method": r.kind,
             "decided_by": decided_by,
         }
     return {
@@ -555,13 +555,7 @@ def ae_rationality_experiment(
     samples = [exact(2 * rng.randrange(lo_i, hi_i) + 1, 2**20) for _ in range(n_samples)]
 
     jobs = [(m, s, q_max, cap, escalations) for s in samples]
-    if workers and workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_experiment_sample, jobs, chunksize=max(1, n_samples // (8 * workers))))
-    else:
-        rows = [_experiment_sample(j) for j in jobs]
+    rows = parallel_map(_experiment_sample, jobs, workers)
 
     n_cert = sum(1 for r in rows if r["certified"])
     n_red = sum(1 for r in rows if r["reduced"])

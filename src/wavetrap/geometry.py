@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -288,25 +287,3 @@ def table_from_json(text_or_obj) -> GeneralTable:
         conv = lambda v: exact(v) if isinstance(v, (str, int)) else float(v)
         return tent_table(conv(ell), conv(ta))
     raise InvalidTable(f"unknown table type {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Startup self-test: the stored slope ratio equals the sine form
-# ---------------------------------------------------------------------------
-
-
-def _slope_ratio_selftest(n: int = 32, tol: float = 1e-12) -> None:
-    rng = random.Random(0xC1C1)
-    for _ in range(n):
-        alpha = rng.uniform(0.01, 0.7)
-        theta = rng.uniform(alpha + 0.05, 1.5)
-        stored = (math.tan(theta) + math.tan(alpha)) / (math.tan(theta) - math.tan(alpha))
-        sine_form = math.sin(theta + alpha) / math.sin(theta - alpha)
-        if abs(stored - sine_form) > tol * max(1.0, abs(sine_form)):
-            raise AssertionError(
-                f"slope-ratio identity failed at alpha={alpha}, theta={theta}: "
-                f"{stored} vs {sine_form}"
-            )
-
-
-_slope_ratio_selftest()

@@ -31,12 +31,9 @@ def write_staircase_csv(records: Sequence[StaircaseRecord], path: str, config: d
             res = r.result
             lo, hi = res.interval()
             if isinstance(res, Certified):
-                kind = "numeric" if res.numeric else "certified"
-                w.writerow([scalar_str(r.u), kind, res.p, res.q, scalar_str(lo), scalar_str(hi), ""])
+                w.writerow([scalar_str(r.u), res.kind, res.p, res.q, scalar_str(lo), scalar_str(hi), ""])
             else:
-                w.writerow(
-                    [scalar_str(r.u), "enclosure", "", "", scalar_str(lo), scalar_str(hi), res.q_max]
-                )
+                w.writerow([scalar_str(r.u), res.kind, "", "", scalar_str(lo), scalar_str(hi), res.q_max])
 
 
 def write_scan_csv(records, path: str, config: dict) -> None:

@@ -6,9 +6,11 @@ piecewise-linear lifts.  rho_certify descends the Stern-Brocot tree on those
 comparisons, with a run-length acceleration so deep continued-fraction
 branches cost O(log) comparisons instead of one per step.
 
-In float mode a displacement within tol of zero is treated as a zero and the
-resulting certificate is tagged numerically_periodic; exact mode never does
-this.
+In float mode a displacement within FLOAT_TOL of zero is treated as a zero,
+and every Equal from a float lift is tagged numeric, because rounding may
+have settled its signs; exact mode never does this.  The label of a result
+("certified", "numeric" or "enclosure") and its JSON form are decided here
+only, by the kind and to_json of Certified and Enclosure.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import (
     ParameterError,
     WavetrapError,
 )
-from .scalar import Scalar, exact, floor_int, is_exact
+from .scalar import Scalar, exact, floor_int, is_exact, scalar_str, to_float
 
 FLOAT_TOL = 1e-12
 
@@ -47,6 +49,20 @@ class Certified:
         v = exact(self.p, self.q)
         return v, v
 
+    @property
+    def kind(self) -> str:
+        return "numeric" if self.numeric else "certified"
+
+    def to_json(self) -> dict:
+        w = self.witness  # ("circle",), ("point", x) or ("interval", lo, hi)
+        return {
+            "kind": self.kind,
+            "p": self.p,
+            "q": self.q,
+            "rho": scalar_str(self.value),
+            "witness": None if w is None else [w[0], *(scalar_str(v) for v in w[1:])],
+        }
+
 
 @dataclass(frozen=True)
 class Enclosure:
@@ -58,6 +74,19 @@ class Enclosure:
 
     def interval(self) -> Tuple[Scalar, Scalar]:
         return self.lo, self.hi
+
+    @property
+    def kind(self) -> str:
+        return "enclosure"
+
+    def to_json(self) -> dict:
+        return {
+            "kind": self.kind,
+            "lo": scalar_str(self.lo),
+            "hi": scalar_str(self.hi),
+            "width": to_float(self.hi - self.lo),
+            "q_max": self.q_max,
+        }
 
 
 RotationResult = Union[Certified, Enclosure]
@@ -96,38 +125,27 @@ class Comparison:
     numeric: bool = False
 
 
-def compare_rho(L: PLLift, p: int, q: int, tol: Optional[float] = None) -> Comparison:
+def compare_rho(L: PLLift, p: int, q: int) -> Comparison:
     """Compare rho(L) with p/q from the extrema of F^q - id - p.
 
     The displacement is continuous and piecewise linear, so its extrema sit on
     the break points of F^q; their signs decide everything.  An exact zero (or
     a sign change, whose crossing point solves a linear equation) yields Equal
-    with a verified witness.
+    with a verified witness.  On a float lift every Equal is numeric.
     """
-    if tol is None:
-        tol = 0 if L.exact_mode else FLOAT_TOL
+    tol = 0 if L.exact_mode else FLOAT_TOL
     data = power_break_data(L, q, p, want_slopes=False)
     xs, ds = data.breaks, data.disp
     n = len(xs)
 
-    used_tol = False
-    signs = []
-    for d in ds:
-        if -tol <= d <= tol:
-            signs.append(0)
-            if d != 0:
-                used_tol = True
-        elif d > 0:
-            signs.append(1)
-        else:
-            signs.append(-1)
+    signs = [0 if -tol <= d <= tol else (1 if d > 0 else -1) for d in ds]
 
     if all(s > 0 for s in signs):
         return Comparison(1)
     if all(s < 0 for s in signs):
         return Comparison(-1)
 
-    numeric = (not L.exact_mode) and used_tol
+    numeric = not L.exact_mode
     # whole circle fixed
     if all(s == 0 for s in signs):
         return Comparison(0, witness=("circle",), numeric=numeric)
@@ -164,7 +182,7 @@ class _PQ:
         return _PQ(self.p * k, self.q * k)
 
 
-def rho_certify(L: PLLift, q_max: int = 2000, tol: Optional[float] = None) -> RotationResult:
+def rho_certify(L: PLLift, q_max: int = 2000) -> RotationResult:
     """Certify rho(L) as p/q with q <= q_max, or return the final enclosure.
 
     The bracket starts at consecutive integers around the displacement range;
@@ -177,7 +195,7 @@ def rho_certify(L: PLLift, q_max: int = 2000, tol: Optional[float] = None) -> Ro
         raise NonPositive("q_max must be >= 1")
     dmin, dmax = displacement_range(L)
     return farey_descent(
-        lambda p, q: compare_rho(L, p, q, tol), floor_int(dmin), floor_int(dmax) + 1, q_max
+        lambda p, q: compare_rho(L, p, q), floor_int(dmin), floor_int(dmax) + 1, q_max
     )
 
 
@@ -284,6 +302,21 @@ def _run(cmp, moving: _PQ, fixed: _PQ, direction: int, q_max: int):
 # ---------------------------------------------------------------------------
 
 
+def parallel_map(fn, jobs: Sequence, workers: Optional[int]) -> list:
+    """[fn(j) for j in jobs], on a pool of `workers` processes when workers > 1.
+
+    Package-internal fan-out of staircase, tongues.scan and the rationality
+    experiment.  One task per job, so a caller balances the load by how it
+    cuts the jobs; the pool is created and closed inside the call.
+    """
+    if not workers or workers <= 1:
+        return [fn(j) for j in jobs]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs))
+
+
 @dataclass(frozen=True)
 class StaircaseRecord:
     u: Scalar
@@ -323,14 +356,7 @@ def staircase(
     else:
         grid = [u_lo + span * (i / (samples - 1)) for i in range(samples)]
 
-    jobs = [(family, u, q_max) for u in grid]
-    if workers and workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_certify_point, jobs, chunksize=max(1, samples // (8 * workers))))
-    else:
-        records = [_certify_point(j) for j in jobs]
+    records = parallel_map(_certify_point, [(family, u, q_max) for u in grid], workers)
 
     if check_monotone:
         assert_monotone(records, increasing=family.increasing)

@@ -18,7 +18,7 @@ from .circle_map import lift_iter, trapezoid_lift
 from .errors import BracketInvalid, NotMonotone, ParameterError, UnsupportedPair
 from .families import FamilyPoint
 from .geometry import maas_params
-from .rotation import FLOAT_TOL, Certified, rho_certify, compare_rho
+from .rotation import FLOAT_TOL, Certified, compare_rho, parallel_map, rho_certify
 from .scalar import Scalar, exact, is_exact, scalar_str, to_float
 from .svg import Canvas, palette_color
 
@@ -173,11 +173,9 @@ def _scan_cell(d, tau, q_max: int) -> ScanRecord:
     except ParameterError as e:
         return ScanRecord(d, tau, "error", None, None, False, q_max, f"{type(e).__name__}: {e}")
     if isinstance(r, Certified):
-        kind = "numeric" if r.numeric else "certified"
-        return ScanRecord(d, tau, kind, r.p % r.q, r.q, True, q_max)
+        return ScanRecord(d, tau, r.kind, r.p % r.q, r.q, True, q_max)
     return ScanRecord(
-        d, tau, "enclosure", None, None, False, q_max,
-        f"[{scalar_str(r.lo)},{scalar_str(r.hi)}]",
+        d, tau, r.kind, None, None, False, q_max, f"[{scalar_str(r.lo)},{scalar_str(r.hi)}]"
     )
 
 
@@ -217,14 +215,8 @@ def scan(
     else:
         taus = [t_lo + t_span * ((j + 1) / nt) for j in range(nt)]
 
-    rows = [(d, taus, q_max) for d in ds]
-    if workers and workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_scan_row, rows))
-    else:
-        chunks = [_scan_row(r) for r in rows]
+    # one d-row per task balances the pool against the per-cell cost spread
+    chunks = parallel_map(_scan_row, [(d, taus, q_max) for d in ds], workers)
     return [rec for chunk in chunks for rec in chunk]
 
 

@@ -23,21 +23,19 @@ from typing import List, Tuple
 from .circle_map import PLLift, make_lift
 from .errors import NonTransversal, Tangency, WavetrapError
 from .geometry import GeneralTable, PLProfile, PolyProfile
-from .scalar import floor_int, is_exact, to_float
+from .scalar import exact, floor_int, is_exact, to_float
 
 SMOOTH_TOL = 1e-13
 
 
+def _strip(x) -> int:
+    """The integer k with x in the strip [k - 1/2, k + 1/2)."""
+    return floor_int(x + (0.5 if isinstance(x, float) else exact(1, 2)))
+
+
 def _fold(x):
     """Reduce x to the fundamental strip [-1/2, 1/2)."""
-    half = x + (0.5 if isinstance(x, float) else _half(x))
-    return x - floor_int(half)
-
-
-def _half(x):
-    from .scalar import exact
-
-    return exact(1, 2)
+    return x - _strip(x)
 
 
 def profile_value(table: GeneralTable, x):
@@ -234,7 +232,7 @@ def table_lift(table: GeneralTable, tan_theta) -> PLLift:
     # fold breaks into one window, shifting values by the same integer
     folded = []
     for br, val, sl in entries:
-        k = floor_int(br + (0.5 if isinstance(br, float) else _half(br)))
+        k = _strip(br)
         folded.append((br - k, val - k, sl))
     folded.sort()
     breaks = tuple(e[0] for e in folded)
@@ -275,7 +273,7 @@ def trace_segments(table: GeneralTable, x0, tan_theta, n_returns: int):
         nxt = xc + bxc / tan_theta
         segs.extend(_fold_flight(table, xc, -to_float(bxc), nxt, 0.0, tan_theta))
         hits.append(to_float(_fold(xc)))
-        wraps.append(floor_int(nxt + (0.5 if isinstance(nxt, float) else _half(nxt))) - floor_int(cur + (0.5 if isinstance(cur, float) else _half(cur))))
+        wraps.append(_strip(nxt) - _strip(cur))
         returns.append(to_float(_fold(nxt)))
         cur = nxt
     return segs, TraceLog(tuple(returns), tuple(hits), tuple(wraps))
@@ -300,9 +298,14 @@ def _fold_flight(table, x_a, y_a, x_b, y_b, tan_theta):
 
 def trace_svg(table: GeneralTable, x0, tan_theta, n_returns: int) -> str:
     """Deterministic SVG of the table outline and a folded trajectory."""
+    segs, log = trace_segments(table, x0, tan_theta, n_returns)
+    return _render_trace(table, segs, log)
+
+
+def _render_trace(table: GeneralTable, segs, log: TraceLog) -> str:
+    """SVG of the table outline and the segments and returns of one trace."""
     from .svg import Canvas
 
-    segs, log = trace_segments(table, x0, tan_theta, n_returns)
     bmax = to_float(table.b_max)
     w, h = 880.0, 560.0
     pad = 40.0

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavetrap import circle_map
 from wavetrap.circle_map import (
     derivative_at,
     displacement_range,
@@ -16,7 +17,7 @@ from wavetrap.circle_map import (
     translation_lift,
     trapezoid_lift,
 )
-from wavetrap.errors import BreakPoint, WavetrapError
+from wavetrap.errors import BreakPoint, InvariantViolation, NumericError, WavetrapError
 from wavetrap.geometry import maas_params, trapezoid_params
 from wavetrap.scalar import exact, to_float
 
@@ -140,3 +141,14 @@ def test_strictly_increasing_property(fa, fb):
         return
     lo, hi = (a, b) if a < b else (b, a)
     assert lift_eval(L, lo) < lift_eval(L, hi)
+
+
+@pytest.mark.parametrize("lift", [reference_lift(), trapezoid_lift(trapezoid_params(1.0, 1.0, 4.0))],
+                         ids=["exact", "float"])
+def test_slope_closure_failure_is_a_typed_error(monkeypatch, lift):
+    # a NaN chain-rule slope can close up in neither arithmetic; the check
+    # must raise a typed error, not an assert that python -O strips
+    monkeypatch.setattr(circle_map, "_chain_slope", lambda L, x, q: float("nan"))
+    with pytest.raises(InvariantViolation) as err:
+        power_break_data(lift, 5, 2, want_slopes=True)
+    assert isinstance(err.value, NumericError)

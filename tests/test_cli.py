@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -227,3 +228,46 @@ def test_out_writes_same_json(tmp_path):
 def test_mixed_coordinate_systems_rejected():
     proc = run_cli("rho", "--d", "0", "--tau", "5", "--ell", "1", check=False)
     assert proc.returncode == 2
+
+
+def test_rho_float_input_is_numeric():
+    proc = run_cli("rho", "--ell", "1.0", "--tan-alpha", "1.0", "--tan-theta", "4.7")
+    assert '"kind": "numeric"' in proc.stdout
+    assert rho_pq(out_json(proc)) == ("numeric", 8, 15)
+
+
+def test_classify_rho_uses_the_rho_encoding():
+    flags = ("--d=-1/2", "--tau", "9/2", "--qmax", "10")
+    rho = out_json(run_cli("rho", *flags))["result"]["rho"]
+    cls = out_json(run_cli("classify", *flags))["result"]["classification"]
+    assert cls["rho"] == rho
+    assert set(rho) == {"kind", "p", "q", "rho", "witness"}
+
+
+def test_closed_stdout_exits_quietly():
+    # the read end is closed before the CLI writes, so its first write or
+    # flush meets EPIPE, as behind `| head -c 100`
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            SHOW + ["map", "eval", "--ell", "1", "--tan-alpha", "1", "--tan-theta", "4",
+                    "--x", "1/3", "--n", "2000", "--exact"],
+            stdout=w, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(w)
+    assert proc.stderr == ""
+    assert proc.returncode == 1
+
+
+def test_trace_svg_file_equals_trace_svg(tmp_path):
+    from wavetrap.geometry import trapezoid_params, unfold_trapezoid
+    from wavetrap.scalar import exact
+    from wavetrap.tracer import trace_svg
+
+    svg_path = tmp_path / "trace.svg"
+    run_cli("trace", "--ell", "1", "--tan-alpha", "1", "--tan-theta", "4",
+            "--x0", "0", "--returns", "6", "--svg", str(svg_path), "--exact")
+    p = trapezoid_params(exact(1), exact(1), exact(4))
+    assert svg_path.read_text() == trace_svg(unfold_trapezoid(p), exact(0), p.tan_theta, 6)

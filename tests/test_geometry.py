@@ -1,4 +1,6 @@
 import json
+import math
+import random
 
 import pytest
 from hypothesis import given
@@ -123,3 +125,13 @@ def test_table_from_json_kinds():
     assert to_float(poly.b(0.5)) == pytest.approx(1.75)
     with pytest.raises(ParameterError):
         table_from_json({"type": "moebius"})
+
+
+def test_stored_slope_ratio_equals_the_sine_form():
+    rng = random.Random(0xC1C1)
+    for _ in range(32):
+        alpha = rng.uniform(0.01, 0.7)
+        theta = rng.uniform(alpha + 0.05, 1.5)
+        lam = trapezoid_params(1.0, math.tan(alpha), math.tan(theta), require_extra=False).lam
+        sine_form = math.sin(theta + alpha) / math.sin(theta - alpha)
+        assert abs(lam - sine_form) <= 1e-12 * max(1.0, abs(sine_form)), (alpha, theta)

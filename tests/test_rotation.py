@@ -143,3 +143,20 @@ def test_integer_bracket_failure_is_a_typed_error(monkeypatch):
     monkeypatch.setattr(rotation, "displacement_range", lambda L: (exact(7), exact(8)))
     with pytest.raises(InvariantViolation):
         rho_certify(L, 50)
+
+
+def test_float_lift_equal_is_numeric():
+    # rounding settles the signs of this float lift's displacement to an
+    # Equal; that is not a proof, so the label must say numeric
+    r = rho_certify(trapezoid_lift(trapezoid_params(1.0, 1.0, 4.7)), 2000)
+    assert r == Certified(8, 15, r.witness, numeric=True)
+    assert r.kind == "numeric"
+    assert r.to_json()["kind"] == "numeric"
+
+
+def test_result_json_encoding():
+    r = rho_certify(trapezoid_lift(maas_params(exact(-1, 2), exact(9, 2))), q_max=10)
+    assert r.to_json() == {"kind": "certified", "p": 1, "q": 4, "rho": "1/4", "witness": ["circle"]}
+    e = rho_certify(translation_lift(exact(355, 1130)), q_max=100)
+    assert e.to_json() == {"kind": "enclosure", "lo": str(e.lo), "hi": str(e.hi),
+                           "width": to_float(e.hi - e.lo), "q_max": 100}
